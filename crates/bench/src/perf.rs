@@ -4,7 +4,8 @@
 //!
 //! [`run_suite`] times a fixed, seeded set of micro- and macro-kernels
 //! — GEMM and softmax (S1), a DANE local solve (S2), RDCS dependent
-//! rounding (S5/S6), the FedL online-learner score update, the columnar
+//! rounding (S5/S6), the FedL online-learner score update, the regret
+//! tracker's hindsight comparator at K = 1000, the columnar
 //! scheduler at the 10k/100k/1M scale tiers (docs/SCALE.md), a
 //! 1k-cohort selection through the framed service protocol
 //! (docs/SERVE.md), a sharded 100k distributed epoch through the
@@ -301,6 +302,35 @@ fn suite_score_update(kernels: &mut Vec<KernelStats>, budget: Duration, profile:
     });
 }
 
+/// The regret tracker's per-epoch hindsight comparator at the service's
+/// shape: K = 1000 available clients, n = 8, a budget that never binds,
+/// so the participation floor is what the exact projection enforces on
+/// every PGD backtrack (`regret::hindsight_optimum`).
+fn suite_hindsight(kernels: &mut Vec<KernelStats>, budget: Duration) {
+    use fedl_core::objective::OneShot;
+    use fedl_core::regret::hindsight_optimum;
+    use fedl_linalg::rng::{rng_for, Rng};
+
+    let k = 1000;
+    let mut rng = rng_for(0xBEC, k as u64);
+    let problem = OneShot {
+        ids: (0..k).collect(),
+        tau: (0..k).map(|_| rng.gen_range(0.05..2.0)).collect(),
+        costs: (0..k).map(|_| rng.gen_range(0.5..12.0)).collect(),
+        eta: (0..k).map(|_| rng.gen_range(0.05..0.95)).collect(),
+        g: (0..k).map(|_| rng.gen_range(-1.0..0.2)).collect(),
+        bonus: vec![0.0; k],
+        loss_all: 0.5,
+        theta: 1.0,
+        min_participants: 8,
+        budget: 1.0e15,
+        rho_max: 10.0,
+    };
+    measure_kernel(kernels, budget, "core/hindsight_1k", || {
+        std::hint::black_box(hindsight_optimum(&problem).rho)
+    });
+}
+
 /// The columnar scheduler at scale-tier populations (docs/SCALE.md):
 /// one full FedL score update — dense problem assembly from the
 /// population/epoch columns plus the realized-epoch fold-back,
@@ -490,6 +520,7 @@ pub fn run_suite(profile: Profile) -> BenchSnapshot {
     suite_dane(&mut kernels, budget, profile);
     suite_rounding(&mut kernels, budget, profile);
     suite_score_update(&mut kernels, budget, profile);
+    suite_hindsight(&mut kernels, budget);
     suite_scale(&mut kernels, budget, profile);
     suite_serve(&mut kernels, budget);
     suite_dist(&mut kernels, budget);
@@ -755,6 +786,7 @@ mod tests {
             "ml/dane",
             "core/rdcs",
             "core/ucb",
+            "core/hindsight",
             "scale/",
             "serve/",
             "dist/",

@@ -130,12 +130,12 @@ impl FedLPolicy {
     }
 
     /// Disables the per-epoch regret/fit accounting. The tracker's
-    /// hindsight comparator re-solves the observed epoch's problem,
-    /// which costs more than the selection itself at service-scale
-    /// populations; execution layers that never plot regret curves
-    /// (fedl-dist, the loadgen reference) opt out here. Selections are
-    /// bit-identical either way — the tracker never feeds back into
-    /// decisions.
+    /// hindsight comparator re-solves the observed epoch's problem:
+    /// about a quarter of a served epoch at K ≈ 1000 available clients
+    /// (≈7 ms beside a ≈20 ms descent step, docs/PERF.md). Execution
+    /// layers that never plot regret curves (fedl-dist, the loadgen
+    /// reference) opt out here. Selections are bit-identical either
+    /// way — the tracker never feeds back into decisions.
     pub fn without_regret_tracking(mut self) -> Self {
         self.track_regret = false;
         self

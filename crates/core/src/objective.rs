@@ -7,7 +7,7 @@
 //! costs and availability, which are known at rental time.
 
 use fedl_linalg::par::{det_dot, det_sum};
-use fedl_solver::{minimize, BoxSet, DykstraIntersection, Halfspace, PgdOptions};
+use fedl_solver::{minimize, BoxSet, DykstraIntersection, FedlSet, Halfspace, PgdOptions};
 
 /// Fractional decision `Φ̃ = (x̃, ρ)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,15 +104,22 @@ impl OneShot {
     /// [`OneShot::h_value`] written into a caller-owned vector (cleared
     /// first); steady-state reuse performs no allocation.
     pub fn h_value_into(&self, x: &[f64], rho: f64, h: &mut Vec<f64>) {
+        h.clear();
+        h.reserve(self.dim());
+        self.for_each_h(x, rho, |hi| h.push(hi));
+    }
+
+    /// Visits the entries of [`OneShot::h_value`] in order without
+    /// materializing the vector (the regret comparator's penalty folds
+    /// them on every objective evaluation).
+    pub fn for_each_h(&self, x: &[f64], rho: f64, mut visit: impl FnMut(f64)) {
         self.check();
         assert_eq!(x.len(), self.ids.len(), "x arity");
         let avail = self.ids.len() as f64;
-        h.clear();
-        h.reserve(self.dim());
         let mix = det_dot(x, &self.g);
-        h.push(self.loss_all + rho * mix / avail - self.theta);
+        visit(self.loss_all + rho * mix / avail - self.theta);
         for (xi, ei) in x.iter().zip(&self.eta) {
-            h.push(ei * xi * rho - rho + 1.0);
+            visit(ei * xi * rho - rho + 1.0);
         }
     }
 
@@ -149,13 +156,28 @@ impl OneShot {
         grad
     }
 
+    /// The budget cap of the feasible set: the remaining budget, relaxed
+    /// to the cost of the `n` cheapest clients when it cannot cover them,
+    /// so the set stays non-empty (the overshoot is charged to dynamic
+    /// fit; the runner's `while C ≥ 0` loop then stops the FL process).
+    pub fn relaxed_cap(&self) -> f64 {
+        let mut sorted = self.costs.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite costs"));
+        let min_feasible: f64 = sorted.iter().take(self.effective_n()).sum();
+        self.budget.max(min_feasible)
+    }
+
+    /// The feasible set of [`OneShot::feasible_set`] with its exact
+    /// projection: box, participation floor and [`OneShot::relaxed_cap`]
+    /// projected onto at once by a two-multiplier Lagrangian search.
+    pub fn projector(&self) -> FedlSet<'_> {
+        self.check();
+        FedlSet::new(&self.costs, self.effective_n(), self.relaxed_cap(), self.rho_max)
+    }
+
     /// Builds the feasible set
-    /// `{x ∈ [0,1]^K, ρ ∈ [1, ρ_max]} ∩ {Σx ≥ n} ∩ {Σc·x ≤ budget}`.
-    ///
-    /// If the remaining budget cannot cover the `n` cheapest clients the
-    /// budget halfspace is relaxed to that minimum so the set stays
-    /// non-empty (the overshoot is charged to dynamic fit; the runner's
-    /// `while C ≥ 0` loop then stops the FL process).
+    /// `{x ∈ [0,1]^K, ρ ∈ [1, ρ_max]} ∩ {Σx ≥ n} ∩ {Σc·x ≤ cap}` as a
+    /// Dykstra intersection, with `cap` the [`OneShot::relaxed_cap`].
     pub fn feasible_set(&self) -> DykstraIntersection {
         self.check();
         let k = self.ids.len();
@@ -170,13 +192,9 @@ impl OneShot {
         part_normal.push(0.0);
         let participation = Halfspace::at_least(part_normal, n);
 
-        let mut sorted = self.costs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite costs"));
-        let min_feasible: f64 = sorted.iter().take(self.effective_n()).sum();
-        let cap = self.budget.max(min_feasible);
         let mut cost_normal = self.costs.clone();
         cost_normal.push(0.0);
-        let budget_hs = Halfspace::new(cost_normal, cap);
+        let budget_hs = Halfspace::new(cost_normal, self.relaxed_cap());
 
         DykstraIntersection::new(vec![
             Box::new(boxset),

@@ -173,9 +173,10 @@ impl PolicyKind {
 
     /// [`Self::build`] minus FedL's per-epoch regret/fit accounting
     /// (see [`FedLPolicy::without_regret_tracking`]): the tracker's
-    /// hindsight-comparator solve costs more than the epoch itself at
-    /// service-scale populations, and execution layers that never plot
-    /// regret curves don't need it. Selections are bit-identical to
+    /// hindsight-comparator solve is about a quarter of a served epoch at
+    /// K ≈ 1000 available clients (≈7 ms beside a ≈20 ms descent step,
+    /// docs/PERF.md), and execution layers that never plot regret
+    /// curves don't need it. Selections are bit-identical to
     /// [`Self::build`]'s; the baselines are unaffected.
     pub fn build_untracked(
         self,

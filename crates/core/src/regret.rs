@@ -128,16 +128,18 @@ impl FromJson for RegretTracker {
 /// `f_t` over the epoch's feasible set, with the convergence constraints
 /// enforced through an exact penalty (they are bilinear, so we fold them
 /// into the objective rather than the projection).
+///
+/// Every PGD backtrack projects onto the feasible set exactly
+/// ([`OneShot::projector`]), so the comparator is feasible to rounding
+/// and no iteration pays for an iterative intersection projection.
 pub fn hindsight_optimum(observed: &OneShot) -> FracDecision {
     let k = observed.ids.len();
-    let set = observed.feasible_set();
+    let set = observed.projector();
     let avail = k as f64;
     let objective = |z: &[f64]| {
         let (x, rho) = (&z[..k], z[k]);
         let mut v = observed.f_value(x, rho);
-        for hi in observed.h_value(x, rho) {
-            v += H_PENALTY * hi.max(0.0);
-        }
+        observed.for_each_h(x, rho, |hi| v += H_PENALTY * hi.max(0.0));
         v
     };
     let gradient = |z: &[f64], out: &mut [f64]| {
@@ -183,10 +185,8 @@ pub fn hindsight_optimum(observed: &OneShot) -> FracDecision {
         .map(|z0| minimize(objective, gradient, &set, &z0, &opts))
         .min_by(|a, b| a.objective.partial_cmp(&b.objective).expect("finite objectives"))
         .expect("at least one start");
-    // Clamp the box part exactly; razor-thin budget sets can leave
-    // micro-violations of the halfspaces (see OneShot::descend).
-    let x = res.x[..k].iter().map(|&v| v.clamp(0.0, 1.0)).collect();
-    FracDecision { x, rho: res.x[k].clamp(1.0, observed.rho_max) }
+    // PGD's iterates are projected points: already in the box.
+    FracDecision { rho: res.x[k], x: res.x[..k].to_vec() }
 }
 
 #[cfg(test)]

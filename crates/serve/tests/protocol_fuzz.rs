@@ -152,3 +152,24 @@ fn decoder_never_panics_on_seeded_garbage() {
         assert!(decode_frame(&bytes).is_err());
     }
 }
+
+#[test]
+fn megabyte_string_field_is_answered_promptly() {
+    // One checksummed frame may carry up to MAX_FRAME_BYTES of JSON; a
+    // long string field must cost the single-threaded server loop time
+    // linear in its length, not a stall.
+    let config = ServeConfig::new(40, 3, 1000.0, 3, PolicyKind::FedL);
+    let mut server = ServerState::new(config, Telemetry::in_memory().0);
+    let node = "fuzz-\u{e9}".repeat((1 << 20) / 7);
+    let frame = fedl_serve::encode_frame(&Message::Hello {
+        protocol_version: PROTOCOL_VERSION,
+        node: node.clone(),
+    });
+    assert!(frame.len() > 1 << 20 && frame.len() < MAX_FRAME_BYTES);
+    assert!(matches!(decode_frame(&frame), Ok(Message::Hello { node: back, .. }) if back == node));
+    let start = std::time::Instant::now();
+    let (reply, _) = server.handle_frame(&frame);
+    let elapsed = start.elapsed();
+    decode_frame(&reply).expect("server replies are always well-formed");
+    assert!(elapsed < std::time::Duration::from_secs(5), "a 1 MiB string field took {elapsed:?}");
+}

@@ -16,6 +16,9 @@
 //!
 //! * [`projection`] — exact Euclidean projections onto the primitive sets,
 //!   including the box∩halfspace intersection via Lagrangian bisection;
+//! * [`fedl_set`] — the exact projection onto FedL's whole per-epoch set
+//!   (box, participation floor and budget cap at once) by a two-multiplier
+//!   Lagrangian search;
 //! * [`dykstra`] — Dykstra's alternating-projection algorithm for
 //!   intersections of several sets (converges to the exact projection,
 //!   unlike naive alternating projection);
@@ -31,10 +34,12 @@
 #![forbid(unsafe_code)]
 
 pub mod dykstra;
+pub mod fedl_set;
 pub mod pgd;
 pub mod projection;
 
 pub use dykstra::DykstraIntersection;
+pub use fedl_set::{FedlSet, Multipliers};
 pub use pgd::{minimize, PgdOptions, PgdResult};
 pub use projection::{BoxHalfspace, BoxSet, Halfspace, Project};
 
