@@ -507,6 +507,32 @@ fn suite_dist(kernels: &mut Vec<KernelStats>, budget: Duration) {
     });
 }
 
+/// The wire codec at the dist plane's shape (docs/DIST.md): encode and
+/// decode of one 50k-client `ShardContextPart` — the frame each of two
+/// workers returns per epoch at M = 100k — through the full framed path
+/// (packed columns, envelope checksum, JSON parse). Seeded values with
+/// full-precision mantissas, as realized latencies and costs have.
+fn suite_proto(kernels: &mut Vec<KernelStats>, budget: Duration) {
+    use fedl_linalg::rng::{rng_for, Rng};
+    use fedl_serve::{decode_frame, encode_frame, Message};
+
+    let k = 50_000;
+    let mut rng = rng_for(0x9A27, k as u64);
+    let part = Message::ShardContextPart {
+        epoch: 17,
+        available: (0..k).map(|i| 50_000 + i).collect(),
+        costs: (0..k).map(|_| rng.gen_range(0.5..12.0)).collect(),
+        latency_hint: (0..k).map(|_| rng.gen_range(0.05..2.0)).collect(),
+        true_latency: (0..k).map(|_| rng.gen_range(0.05..2.0)).collect(),
+        data_volumes: (0..k).map(|_| rng.gen_range(100..2000usize)).collect(),
+    };
+    measure_kernel(kernels, budget, "proto/shard_context_part_50k", || {
+        let frame = encode_frame(&part);
+        let back = decode_frame(&frame).expect("a freshly encoded frame decodes");
+        std::hint::black_box(matches!(back, Message::ShardContextPart { .. }))
+    });
+}
+
 /// Runs the whole seeded suite and packages the snapshot.
 pub fn run_suite(profile: Profile) -> BenchSnapshot {
     let budget = kernel_budget(profile);
@@ -523,6 +549,7 @@ pub fn run_suite(profile: Profile) -> BenchSnapshot {
     suite_hindsight(&mut kernels, budget);
     suite_scale(&mut kernels, budget, profile);
     suite_serve(&mut kernels, budget);
+    suite_proto(&mut kernels, budget);
     suite_dist(&mut kernels, budget);
     suite_epoch(&mut kernels, budget);
     BenchSnapshot {
@@ -789,6 +816,7 @@ mod tests {
             "core/hindsight",
             "scale/",
             "serve/",
+            "proto/",
             "dist/",
             "epoch/",
         ] {

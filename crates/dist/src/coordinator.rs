@@ -639,6 +639,58 @@ mod tests {
         assert!(report.selections.iter().any(|r| !r.cohort.is_empty()));
     }
 
+    #[test]
+    fn non_finite_worker_columns_are_refused_off_the_wire() {
+        // Packed columns carry ±inf bit-exactly (v3's JSON arrays turned
+        // it into null, then NaN), so the finiteness checks must catch
+        // the infinities that now arrive as such.
+        let wire = |msg: &Message| decode_frame(&encode_frame(msg)).expect("frame decodes");
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut columns = [vec![1.0, 2.0], vec![0.1, 0.2], vec![0.3, 0.4]];
+            for c in 0..3 {
+                columns[c][1] = bad;
+                let [costs, latency_hint, true_latency] = columns.clone();
+                let part = wire(&Message::ShardContextPart {
+                    epoch: 4,
+                    available: vec![10, 12],
+                    costs,
+                    latency_hint,
+                    true_latency,
+                    data_volumes: vec![5, 6],
+                });
+                let err = parse_context_part(0, &(10..20), 4, part).unwrap_err();
+                assert!(err.contains("non-finite"), "column {c} = {bad}: {err}");
+                columns[c][1] = 0.5;
+            }
+        }
+        let train = |latency: f64, cost: f64, eta: f32, grad: f32, loss: f32| {
+            wire(&Message::ShardTrainPart {
+                epoch: 4,
+                members: vec![12],
+                per_client_iter_latency: vec![latency],
+                costs: vec![cost],
+                eta_hats: vec![eta],
+                grad_dot_delta: vec![grad],
+                local_losses: vec![loss],
+            })
+        };
+        assert!(parse_train_part(0, 4, &[12], train(0.1, 2.0, 0.5, -0.1, 2.3)).is_ok());
+        for hostile in [
+            train(f64::INFINITY, 2.0, 0.5, -0.1, 2.3),
+            train(0.1, f64::INFINITY, 0.5, -0.1, 2.3),
+            train(0.1, f64::NEG_INFINITY, 0.5, -0.1, 2.3),
+            train(0.1, 2.0, f32::INFINITY, -0.1, 2.3),
+            train(0.1, 2.0, 0.5, f32::NEG_INFINITY, 2.3),
+            train(0.1, 2.0, 0.5, -0.1, f32::INFINITY),
+            train(0.1, 2.0, 0.5, -0.1, f32::NAN),
+        ] {
+            let Err(err) = parse_train_part(0, 4, &[12], hostile) else {
+                panic!("non-finite feedback must be refused");
+            };
+            assert!(err.contains("non-finite"), "{err}");
+        }
+    }
+
     /// Replies with a context part for the wrong epoch — structurally
     /// valid, semantically mismatched — and refuses resets so the run
     /// aborts after counting the bad reply.

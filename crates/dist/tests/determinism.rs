@@ -13,7 +13,7 @@ use fedl_dist::{
     run_worker, shard_ranges, Coordinator, DistOptions, LocalWorkerLink, ShardWorker, WorkerLink,
     WorkerState,
 };
-use fedl_serve::proto::{decode_frame, encode_frame, Message, ProtocolError};
+use fedl_serve::proto::{decode_frame, encode_frame, Message, ProtocolError, PROTOCOL_VERSION};
 use fedl_serve::transport::{DuplexTransport, FrameTransport};
 use fedl_serve::{reference_run, SelectionRecord, ServeConfig};
 use fedl_telemetry::Telemetry;
@@ -258,15 +258,14 @@ fn unrecoverable_worker_death_is_a_typed_error_not_a_hang() {
     assert!(err.contains("unrecoverable"), "error should say recovery was exhausted: {err}");
 }
 
-/// Simulates a protocol-v2 peer on the wire: outgoing shard requests
-/// lose their trace fields (v2 frames never carry them) and the
-/// worker's hello is rewritten to advertise version 2. Selections must
-/// not notice — tracing is observability metadata, never an input.
-struct V2PeerLink {
+/// A current-version peer with tracing off, on the wire: outgoing shard
+/// requests lose their trace fields. Selections must not notice —
+/// tracing is observability metadata, never an input.
+struct UntracedPeerLink {
     inner: ThreadWorker,
 }
 
-impl WorkerLink for V2PeerLink {
+impl WorkerLink for UntracedPeerLink {
     fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
         let stripped = match msg.clone() {
             Message::ShardContext { epoch, .. } => {
@@ -281,8 +280,31 @@ impl WorkerLink for V2PeerLink {
     }
 
     fn recv_reply(&mut self) -> Result<Message, ProtocolError> {
+        self.inner.recv_reply()
+    }
+
+    fn reset(&mut self) -> Result<(), String> {
+        self.inner.reset()
+    }
+}
+
+/// A worker whose hello advertises `version`: a peer from before the
+/// packed-column protocol.
+struct OldVersionLink {
+    inner: ThreadWorker,
+    version: u32,
+}
+
+impl WorkerLink for OldVersionLink {
+    fn send(&mut self, msg: &Message) -> Result<(), ProtocolError> {
+        self.inner.send(msg)
+    }
+
+    fn recv_reply(&mut self) -> Result<Message, ProtocolError> {
         match self.inner.recv_reply()? {
-            Message::Hello { node, .. } => Ok(Message::Hello { protocol_version: 2, node }),
+            Message::Hello { node, .. } => {
+                Ok(Message::Hello { protocol_version: self.version, node })
+            }
             other => Ok(other),
         }
     }
@@ -293,7 +315,7 @@ impl WorkerLink for V2PeerLink {
 }
 
 #[test]
-fn tracing_and_v2_peers_never_change_a_selection_byte() {
+fn tracing_and_untraced_peers_never_change_a_selection_byte() {
     let config = config();
     let epochs = 8;
     let reference = to_jsonl(&reference_run(&config, epochs));
@@ -322,12 +344,12 @@ fn tracing_and_v2_peers_never_change_a_selection_byte() {
         "the traced run must actually have emitted epoch spans"
     );
 
-    // A v2 peer that never sees trace fields selects identically too.
+    // A peer that never sees trace fields selects identically too.
     let workers: Vec<ShardWorker> = shard_ranges(config.env.num_clients, 2)
         .into_iter()
         .map(|shard| ShardWorker {
             shard,
-            link: Box::new(V2PeerLink {
+            link: Box::new(UntracedPeerLink {
                 inner: ThreadWorker::spawn(Box::new(|| WorkerState::new(Telemetry::disabled()))),
             }),
         })
@@ -335,8 +357,52 @@ fn tracing_and_v2_peers_never_change_a_selection_byte() {
     assert_eq!(
         to_jsonl(&run(&config, workers, epochs).selections),
         reference,
-        "a v2 peer (no trace fields on the wire) must select identically"
+        "a peer with no trace fields on the wire must select identically"
     );
+}
+
+#[test]
+fn v2_and_v3_peers_are_refused_with_a_typed_version_error() {
+    let config = config();
+    for old in [2, 3] {
+        // Worker side: an old coordinator's hello is answered with a
+        // wire error whose code is `version`.
+        let mut worker = ThreadWorker::spawn(Box::new(|| WorkerState::new(Telemetry::disabled())));
+        worker
+            .send(&Message::Hello { protocol_version: old, node: "old-coordinator".into() })
+            .unwrap();
+        match worker.recv_reply().unwrap() {
+            Message::Error { code, detail } => {
+                assert_eq!(code, "version", "v{old}: {detail}");
+                assert_eq!(
+                    ProtocolError::Version { ours: PROTOCOL_VERSION, theirs: old }.to_string(),
+                    detail
+                );
+            }
+            other => panic!("v{old} hello must be refused, got {other:?}"),
+        }
+
+        // Coordinator side: an old worker fails the handshake before any
+        // column-carrying frame is exchanged.
+        let workers: Vec<ShardWorker> = shard_ranges(config.env.num_clients, 2)
+            .into_iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let inner =
+                    ThreadWorker::spawn(Box::new(|| WorkerState::new(Telemetry::disabled())));
+                let link: Box<dyn WorkerLink> = if i == 1 {
+                    Box::new(OldVersionLink { inner, version: old })
+                } else {
+                    Box::new(inner)
+                };
+                ShardWorker { shard, link }
+            })
+            .collect();
+        let err = Coordinator::new(config.clone(), workers, Telemetry::disabled())
+            .and_then(|mut c| c.run(&DistOptions { epochs: 1, max_resets: 0 }))
+            .expect_err("an old worker must be refused");
+        assert!(err.contains(&format!("protocol v{old}")), "v{old}: {err}");
+    }
 }
 
 #[test]

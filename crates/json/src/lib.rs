@@ -218,21 +218,81 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// `0x01` in every byte of a word.
+const LO: u64 = 0x0101_0101_0101_0101;
+
+/// Eight bytes as one little-endian word.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// Whether some byte of `word` is below `n`, by the classic SWAR test.
+/// Exact for `n ≤ 128`: a borrow can only flag bytes above a true hit.
+/// A byte equal to `c` is a zero byte of `word ^ c·LO`.
+fn any_byte_below(word: u64, n: u8) -> bool {
+    word.wrapping_sub(LO * u64::from(n)) & !word & (LO << 7) != 0
+}
+
+/// Whether any of the eight bytes packed in `word` needs escaping in a
+/// JSON string: a control byte (< 0x20), `"` or `\`.
+fn any_needs_escape(word: u64) -> bool {
+    any_byte_below(word, 0x20) || any_quote_or_backslash(word)
+}
+
+/// Whether any of the eight bytes packed in `word` is `"` or `\`: the
+/// bytes that end an unescaped run in both the writer and the parser.
+fn any_quote_or_backslash(word: u64) -> bool {
+    any_byte_below(word ^ (LO * u64::from(b'"')), 1)
+        || any_byte_below(word ^ (LO * u64::from(b'\\')), 1)
+}
+
+/// Length of the longest prefix of `bytes` with no `"` or `\`, found
+/// eight bytes at a time.
+fn unescaped_run(bytes: &[u8]) -> usize {
+    let clean = 8 * bytes.chunks_exact(8).take_while(|w| !any_quote_or_backslash(word(w))).count();
+    clean
+        + bytes[clean..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - clean)
+}
+
+/// Writes `s` as a quoted JSON string. Each run of bytes that needs no
+/// escaping is copied as one slice, found eight bytes at a time; every
+/// escaped byte is ASCII, so the runs end on char boundaries.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let (mut run, mut i) = (0, 0);
+    while i < bytes.len() {
+        if bytes.get(i..i + 8).is_some_and(|w| !any_needs_escape(word(w))) {
+            i += 8;
+            continue;
         }
+        let b = bytes[i];
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        }
+        i += 1;
+        run = i;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -526,10 +586,7 @@ impl<'a> Parser<'a> {
                     // char boundary of the input `&str`, and validating it
                     // costs only its own length.
                     let start = self.pos;
-                    let run = self.bytes[start..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(self.bytes.len() - start);
+                    let run = unescaped_run(&self.bytes[start..]);
                     let text = std::str::from_utf8(&self.bytes[start..start + run])
                         .map_err(|_| Error::at("invalid utf-8", start))?;
                     out.push_str(text);
@@ -792,6 +849,89 @@ mod tests {
         let elapsed = start.elapsed();
         assert_eq!(back.as_str().unwrap(), original);
         assert!(elapsed < std::time::Duration::from_secs(10), "4 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn run_copying_writer_matches_a_char_by_char_reference() {
+        // The escaping rules, one char at a time: what the slice-copying
+        // writer must reproduce byte for byte.
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let pieces = [
+            "a",
+            "xyz",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{1}",
+            "\u{1f}",
+            "\u{7f}",
+            " ",
+            "/",
+            "\u{e9}",
+            "\u{2028}",
+            "\u{1F600}",
+            "\u{ffff}",
+            "+/=",
+            "",
+            "AAAAAAAA8D8=",
+            "0123456789abcdefghij",
+        ];
+        // A seeded LCG: the corpus is the same on every run.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        for case in 0..2000 {
+            let len = next() % 40;
+            let s: String = (0..len).map(|_| pieces[next() % pieces.len()]).collect();
+            let mut out = String::new();
+            write_escaped(&mut out, &s);
+            assert_eq!(out, reference(&s), "case {case}: {s:?}");
+            assert_eq!(Value::parse(&out).unwrap().as_str(), Some(s.as_str()), "case {case}");
+        }
+    }
+
+    #[test]
+    fn word_at_a_time_byte_tests_are_exact() {
+        for filler in [0x00u8, 0x1f, 0x20, b'A', 0x7f, 0x80, 0xff] {
+            for v in 0..=255u8 {
+                for at in 0..8 {
+                    let mut bytes = [filler; 8];
+                    bytes[at] = v;
+                    let word = u64::from_le_bytes(bytes);
+                    for n in [1, 0x20] {
+                        assert_eq!(any_byte_below(word, n), bytes.iter().any(|&b| b < n));
+                    }
+                    let escapes = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+                    assert_eq!(any_needs_escape(word), bytes.iter().any(|&b| escapes(b)));
+                }
+            }
+        }
+        let text = b"0123456789abcdef\"ghij\\klmnopqrstuvwxyz\x01\xff0123456789";
+        for start in 0..=text.len() {
+            let rest = &text[start..];
+            let ends = |&b: &u8| b == b'"' || b == b'\\';
+            assert_eq!(unescaped_run(rest), rest.iter().position(ends).unwrap_or(rest.len()));
+        }
     }
 
     #[test]

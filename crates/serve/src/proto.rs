@@ -11,6 +11,21 @@
 //! ```text
 //! [len: u32 BE] fedl-store v1 kind=serve-msg crc=<16 hex>\n{"type":...}
 //! ```
+//!
+//! Every numeric *column* of a message — cohorts, shard id lists, cost
+//! and latency vectors, per-client feedback — travels packed (v4): one
+//! JSON string holding the padded standard base64 (RFC 4648 §4) of the
+//! column's fixed-width little-endian values, `f64` as 8 bytes, `f32`
+//! as 4 and `usize` as a `u64`. A 50k-client context part is then a few
+//! long strings instead of 250k decimal numbers, so encoding is a byte
+//! copy rather than shortest-round-trip float formatting, and decoding
+//! is a table lookup rather than float parsing. Values travel
+//! bit-exactly by construction, ±inf and NaN included (the receivers'
+//! finiteness checks refuse them). The decoder is strict: a stray
+//! character, misplaced or surplus `=`, non-zero padding bits, a byte
+//! count that is not a multiple of the element width, or a JSON array
+//! (the v3 shape) is a [`ProtocolError::Schema`]. Scalars stay plain
+//! JSON numbers.
 
 use std::fmt;
 
@@ -31,16 +46,19 @@ use fedl_telemetry::{SpanContext, Telemetry};
 /// v3 added *optional* trace-context fields (`trace_id`/`span_id`) on
 /// the request messages that start remote work
 /// ([`Message::SelectCohort`], [`Message::ShardContext`],
-/// [`Message::ShardTrain`]), the [`Message::Stats`] /
-/// [`Message::StatsSnapshot`] live-metrics pair, and nothing else —
-/// every v2 message still parses unchanged, so v2 peers are accepted
-/// (their requests simply carry no trace context and their spans stay
-/// unlinked; see docs/TELEMETRY.md).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// [`Message::ShardTrain`]) and the [`Message::Stats`] /
+/// [`Message::StatsSnapshot`] live-metrics pair (docs/TELEMETRY.md).
+///
+/// v4 packs every numeric column as base64 of little-endian values (see
+/// the module docs) instead of a JSON array of decimal numbers.
+pub const PROTOCOL_VERSION: u32 = 4;
 
-/// Oldest peer version this build still pairs with. v2 omitted only
-/// additive, optional features, so it remains wire-compatible.
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
+/// Oldest peer version this build still pairs with. v4 changed the
+/// shape of every column-carrying message, so a v2/v3 peer could pass
+/// the handshake only to fail its first cohort; there is one decoder,
+/// and older peers are refused at the handshake with a typed
+/// [`ProtocolError::Version`].
+pub const MIN_PROTOCOL_VERSION: u32 = 4;
 
 /// Whether a peer's advertised version can be served by this build.
 pub fn version_accepted(theirs: u32) -> bool {
@@ -57,7 +75,7 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
 /// Trace context riding on a request message (v3+). Optional on the
 /// wire: both fields present and valid hex parse to
-/// [`Trace::Context`]; both absent (a v2 peer, or tracing disabled) is
+/// [`Trace::Context`]; both absent (tracing disabled) is
 /// [`Trace::Absent`]; anything else — one field missing, non-hex
 /// garbage, overlong digits — is [`Trace::Invalid`], which the
 /// receiver counts (`proto.bad_trace_ids`) and otherwise treats as
@@ -106,7 +124,7 @@ impl Trace {
         }
     }
 
-    /// Lenient parse: absence is normal (v2 peer), garbage is
+    /// Lenient parse: absence is normal (tracing disabled), garbage is
     /// [`Trace::Invalid`], never an error — a bad trace id must not
     /// fail the request it rides on.
     fn decode_from(v: &Value) -> Trace {
@@ -381,10 +399,7 @@ impl Message {
                 fields.push(("cohort", ids_to_json(cohort)));
                 fields.push(("iterations", Value::from(*iterations)));
                 fields.push(("latency_secs", Value::Float(*latency_secs)));
-                fields.push((
-                    "per_client_iter_latency",
-                    Value::Arr(per_client_iter_latency.iter().map(|&t| Value::Float(t)).collect()),
-                ));
+                fields.push(("per_client_iter_latency", f64s_to_json(per_client_iter_latency)));
                 fields.push(("cost", Value::Float(*cost)));
                 fields.push(("eta_hats", f32s_to_json(eta_hats)));
                 fields.push(("global_loss", Value::Float(*global_loss)));
@@ -502,22 +517,21 @@ impl Message {
             },
             "cohort" => Message::Cohort {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                cohort: read_field(v, "cohort").map_err(schema)?,
+                cohort: ids_from_json(v, "cohort")?,
                 iterations: read_field(v, "iterations").map_err(schema)?,
                 done: read_field(v, "done").map_err(schema)?,
             },
             "train_result" => Message::TrainResult {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                cohort: read_field(v, "cohort").map_err(schema)?,
+                cohort: ids_from_json(v, "cohort")?,
                 iterations: read_field(v, "iterations").map_err(schema)?,
                 latency_secs: read_field(v, "latency_secs").map_err(schema)?,
-                per_client_iter_latency: read_field(v, "per_client_iter_latency")
-                    .map_err(schema)?,
+                per_client_iter_latency: f64s_from_json(v, "per_client_iter_latency")?,
                 cost: read_field(v, "cost").map_err(schema)?,
-                eta_hats: read_field(v, "eta_hats").map_err(schema)?,
+                eta_hats: f32s_from_json(v, "eta_hats")?,
                 global_loss: read_field(v, "global_loss").map_err(schema)?,
-                grad_dot_delta: read_field(v, "grad_dot_delta").map_err(schema)?,
-                local_losses: read_field(v, "local_losses").map_err(schema)?,
+                grad_dot_delta: f32s_from_json(v, "grad_dot_delta")?,
+                local_losses: f32s_from_json(v, "local_losses")?,
             },
             "snapshot" => Message::Snapshot {
                 epoch: read_field(v, "epoch").map_err(schema)?,
@@ -550,27 +564,26 @@ impl Message {
             },
             "shard_context_part" => Message::ShardContextPart {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                available: read_field(v, "available").map_err(schema)?,
-                costs: read_field(v, "costs").map_err(schema)?,
-                latency_hint: read_field(v, "latency_hint").map_err(schema)?,
-                true_latency: read_field(v, "true_latency").map_err(schema)?,
-                data_volumes: read_field(v, "data_volumes").map_err(schema)?,
+                available: ids_from_json(v, "available")?,
+                costs: f64s_from_json(v, "costs")?,
+                latency_hint: f64s_from_json(v, "latency_hint")?,
+                true_latency: f64s_from_json(v, "true_latency")?,
+                data_volumes: ids_from_json(v, "data_volumes")?,
             },
             "shard_train" => Message::ShardTrain {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                members: read_field(v, "members").map_err(schema)?,
+                members: ids_from_json(v, "members")?,
                 iterations: read_field(v, "iterations").map_err(schema)?,
                 trace: Trace::decode_from(v),
             },
             "shard_train_part" => Message::ShardTrainPart {
                 epoch: read_field(v, "epoch").map_err(schema)?,
-                members: read_field(v, "members").map_err(schema)?,
-                per_client_iter_latency: read_field(v, "per_client_iter_latency")
-                    .map_err(schema)?,
-                costs: read_field(v, "costs").map_err(schema)?,
-                eta_hats: read_field(v, "eta_hats").map_err(schema)?,
-                grad_dot_delta: read_field(v, "grad_dot_delta").map_err(schema)?,
-                local_losses: read_field(v, "local_losses").map_err(schema)?,
+                members: ids_from_json(v, "members")?,
+                per_client_iter_latency: f64s_from_json(v, "per_client_iter_latency")?,
+                costs: f64s_from_json(v, "costs")?,
+                eta_hats: f32s_from_json(v, "eta_hats")?,
+                grad_dot_delta: f32s_from_json(v, "grad_dot_delta")?,
+                local_losses: f32s_from_json(v, "local_losses")?,
             },
             "stats" => Message::Stats,
             "stats_snapshot" => Message::StatsSnapshot {
@@ -592,16 +605,149 @@ impl Message {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Packed numeric columns (v4)
+// ---------------------------------------------------------------------------
+
+/// The standard base64 alphabet (RFC 4648 §4).
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Marks a byte outside [`BASE64`] in [`BASE64_INDEX`].
+const NOT_BASE64: u8 = 0xFF;
+
+/// Each byte's 6-bit value in [`BASE64`], or [`NOT_BASE64`] (`=` included).
+const BASE64_INDEX: [u8; 256] = {
+    let mut index = [NOT_BASE64; 256];
+    let mut i = 0;
+    while i < 64 {
+        index[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    index
+};
+
+/// A column as one JSON string of padded standard base64 over its
+/// values' `W`-byte little-endian forms.
+fn pack<T: Copy, const W: usize>(xs: &[T], le_bytes: impl Fn(T) -> [u8; W]) -> Value {
+    let mut raw = Vec::with_capacity(xs.len() * W);
+    for &x in xs {
+        raw.extend_from_slice(&le_bytes(x));
+    }
+    let mut text = vec![b'='; raw.len().div_ceil(3) * 4];
+    let digits = |c: &[u8]| {
+        let mut group = [0u8; 3];
+        group[..c.len()].copy_from_slice(c);
+        let v = u32::from(group[0]) << 16 | u32::from(group[1]) << 8 | u32::from(group[2]);
+        [18, 12, 6, 0].map(|shift| BASE64[((v >> shift) & 0x3F) as usize])
+    };
+    let mut groups = raw.chunks_exact(3);
+    let mut quads = text.chunks_exact_mut(4);
+    for (c, out) in (&mut groups).zip(&mut quads) {
+        out.copy_from_slice(&digits(c));
+    }
+    // A final group of n < 3 bytes fills n + 1 digits; the rest stay `=`.
+    let tail = groups.remainder();
+    if let Some(out) = quads.next() {
+        out[..=tail.len()].copy_from_slice(&digits(tail)[..=tail.len()]);
+    }
+    Value::Str(String::from_utf8(text).expect("base64 is ASCII"))
+}
+
+/// Decodes the packed column `key` of message `v` back into values of
+/// `W` little-endian bytes each. Strict: anything but a string of
+/// canonical padded base64 (no stray characters or misplaced `=`, zero
+/// padding bits) holding a whole number of elements is a
+/// [`ProtocolError::Schema`] — a v3-style JSON array included.
+fn unpack<T, const W: usize>(
+    v: &Value,
+    key: &str,
+    from_le_bytes: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, ProtocolError> {
+    let bad = |what: String| ProtocolError::Schema { detail: format!("field `{key}`: {what}") };
+    let text = match v.get(key) {
+        Some(Value::Str(text)) => text.as_bytes(),
+        Some(_) => return Err(bad("expected a packed column (base64 string)".to_string())),
+        None => return Err(bad("missing".to_string())),
+    };
+    if !text.len().is_multiple_of(4) {
+        return Err(bad(format!("base64 length {} is not a multiple of 4", text.len())));
+    }
+    // Only the final quad may carry padding: one `=` encodes two bytes,
+    // two encode one. It decodes with its padding read as zero digits
+    // (`A`), whose bits must then be zero in the output too.
+    let pad = text.iter().rev().take_while(|&&b| b == b'=').count();
+    if pad > 2 {
+        return Err(bad(format!("{pad} base64 padding characters")));
+    }
+    let mut last = [b'A'; 4];
+    if let Some(tail) = text.len().checked_sub(4) {
+        last[..4 - pad].copy_from_slice(&text[tail..text.len() - pad]);
+    }
+    let quads = text[..text.len().saturating_sub(4)].chunks_exact(4).chain([&last[..]]);
+    let mut raw = vec![0u8; text.len() / 4 * 3];
+    // Valid sextets are < 64: OR-ing them all keeps the top bits clear
+    // unless some byte (a stray `=` included) is not base64.
+    let mut seen = 0u8;
+    for (quad, out) in quads.zip(raw.chunks_exact_mut(3)) {
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| BASE64_INDEX[usize::from(quad[i])]);
+        seen |= a | b | c | d;
+        let v = u32::from(a) << 18 | u32::from(b) << 12 | u32::from(c) << 6 | u32::from(d);
+        out.copy_from_slice(&v.to_be_bytes()[1..]);
+    }
+    if seen & !0x3F != 0 {
+        let (at, b) = text[..text.len() - pad]
+            .iter()
+            .enumerate()
+            .find(|&(_, &b)| BASE64_INDEX[usize::from(b)] == NOT_BASE64)
+            .map(|(at, &b)| (at, b))
+            .expect("some byte is not base64");
+        return Err(bad(format!("byte {b:#04x} at offset {at} is not base64")));
+    }
+    if raw[raw.len() - pad..].iter().any(|&b| b != 0) {
+        return Err(bad("non-zero base64 padding bits".to_string()));
+    }
+    raw.truncate(raw.len() - pad);
+    if !raw.len().is_multiple_of(W) {
+        return Err(bad(format!("{} packed bytes are not whole {W}-byte elements", raw.len())));
+    }
+    Ok(raw.chunks_exact(W).map(|c| from_le_bytes(c.try_into().expect("W-byte chunk"))).collect())
+}
+
+/// A `usize` column on the wire: packed `u64` little-endian.
 fn ids_to_json(ids: &[usize]) -> Value {
-    Value::Arr(ids.iter().map(|&k| Value::from(k)).collect())
+    pack(ids, |k| (k as u64).to_le_bytes())
 }
 
+/// An `f32` column on the wire: packed IEEE-754 binary32 little-endian.
 fn f32s_to_json(xs: &[f32]) -> Value {
-    Value::Arr(xs.iter().map(|&x| Value::Float(x as f64)).collect())
+    pack(xs, f32::to_le_bytes)
 }
 
+/// An `f64` column on the wire: packed IEEE-754 binary64 little-endian.
 fn f64s_to_json(xs: &[f64]) -> Value {
-    Value::Arr(xs.iter().map(|&x| Value::Float(x)).collect())
+    pack(xs, f64::to_le_bytes)
+}
+
+/// Decode twin of [`ids_to_json`]; an id beyond `usize` is a schema error.
+fn ids_from_json(v: &Value, key: &str) -> Result<Vec<usize>, ProtocolError> {
+    unpack(v, key, u64::from_le_bytes)?
+        .into_iter()
+        .map(|id| {
+            usize::try_from(id).map_err(|_| ProtocolError::Schema {
+                detail: format!("field `{key}`: id {id} does not fit a usize"),
+            })
+        })
+        .collect()
+}
+
+/// Decode twin of [`f32s_to_json`].
+fn f32s_from_json(v: &Value, key: &str) -> Result<Vec<f32>, ProtocolError> {
+    unpack(v, key, f32::from_le_bytes)
+}
+
+/// Decode twin of [`f64s_to_json`].
+fn f64s_from_json(v: &Value, key: &str) -> Result<Vec<f64>, ProtocolError> {
+    unpack(v, key, f64::from_le_bytes)
 }
 
 /// Serializes a message into one frame (envelope text bytes; the
@@ -861,7 +1007,7 @@ mod tests {
             trace: Trace::Context { trace_id: 1, span_id: 0x0123_4567_89ab_cdef },
         });
         // Awkward floats (subnormal, negative zero, many digits) must
-        // survive the JSON trip bit-for-bit — the distributed merge
+        // survive the packed trip bit-for-bit — the distributed merge
         // depends on it.
         roundtrip(Message::ShardContextPart {
             epoch: 9,
@@ -895,19 +1041,69 @@ mod tests {
     }
 
     #[test]
-    fn v2_messages_without_trace_fields_parse_as_absent() {
-        // A v2 peer encodes select_cohort/shard_context/shard_train
-        // with no trace fields at all — exactly what Trace::Absent
-        // produces, so the old wire form round-trips unchanged.
+    fn packed_columns_match_rfc_4648_vectors() {
+        for (raw, text) in [
+            (&b""[..], ""),
+            (b"f", "Zg=="),
+            (b"fo", "Zm8="),
+            (b"foo", "Zm9v"),
+            (b"foob", "Zm9vYg=="),
+            (b"fooba", "Zm9vYmE="),
+            (b"foobar", "Zm9vYmFy"),
+            (&[0xFB, 0xFF, 0xBF], "+/+/"),
+        ] {
+            assert_eq!(pack(raw, |b| [b]), Value::from(text));
+            let msg = obj(vec![("col", Value::from(text))]);
+            assert_eq!(unpack(&msg, "col", |[b]| b).unwrap(), raw, "{text:?}");
+        }
+        assert_eq!(f64s_to_json(&[1.0]), Value::from("AAAAAAAA8D8="));
+        assert_eq!(ids_to_json(&[1]), Value::from("AQAAAAAAAAA="));
+    }
+
+    #[test]
+    fn packed_columns_are_bit_exact() {
+        let f64s = [
+            0.1,
+            -0.0,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+        ];
+        let msg = obj(vec![("col", f64s_to_json(&f64s))]);
+        let back = f64s_from_json(&msg, "col").unwrap();
+        assert_eq!(back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), f64s.map(f64::to_bits));
+        let f32s =
+            [0.1f32, -0.0, f32::MIN_POSITIVE, f32::NEG_INFINITY, f32::from_bits(0x7FC0_0001)];
+        let msg = obj(vec![("col", f32s_to_json(&f32s))]);
+        let back = f32s_from_json(&msg, "col").unwrap();
+        assert_eq!(back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), f32s.map(f32::to_bits));
+        let ids = [0, 1, 49_999, usize::MAX];
+        let msg = obj(vec![("col", ids_to_json(&ids))]);
+        assert_eq!(ids_from_json(&msg, "col").unwrap(), ids);
+        for len in 0..7 {
+            let xs: Vec<f32> = (0..len).map(|i| i as f32 * 0.5).collect();
+            let msg = obj(vec![("col", f32s_to_json(&xs))]);
+            assert_eq!(f32s_from_json(&msg, "col").unwrap(), xs);
+        }
+    }
+
+    #[test]
+    fn untraced_requests_parse_as_absent() {
+        // A peer with tracing disabled encodes select_cohort/
+        // shard_context/shard_train with no trace fields at all —
+        // exactly what Trace::Absent produces, so that wire form
+        // round-trips unchanged.
         for (tag, extra) in [
             ("select_cohort", vec![]),
             ("shard_context", vec![]),
-            ("shard_train", vec![("members", Value::Arr(vec![])), ("iterations", Value::Int(1))]),
+            ("shard_train", vec![("members", ids_to_json(&[])), ("iterations", Value::Int(1))]),
         ] {
             let mut fields = vec![("type", Value::from(tag)), ("epoch", Value::Int(5))];
             fields.extend(extra);
             let text = fedl_store::encode_envelope(FRAME_KIND, &obj(fields));
-            let msg = decode_frame(text.as_bytes()).expect("v2 shape should decode");
+            let msg = decode_frame(text.as_bytes()).expect("untraced shape should decode");
             let trace = match msg {
                 Message::SelectCohort { trace, .. }
                 | Message::ShardContext { trace, .. }
@@ -997,9 +1193,12 @@ mod tests {
     }
 
     #[test]
-    fn version_window_accepts_v2_refuses_v1_and_v4() {
+    fn version_window_accepts_v4_refuses_v3_and_v5() {
         assert!(version_accepted(PROTOCOL_VERSION));
         assert!(version_accepted(MIN_PROTOCOL_VERSION));
+        assert!(version_accepted(4));
+        assert!(!version_accepted(3), "v3 peers send columns as JSON arrays");
+        assert!(!version_accepted(2));
         assert!(!version_accepted(MIN_PROTOCOL_VERSION - 1));
         assert!(!version_accepted(PROTOCOL_VERSION + 1));
     }

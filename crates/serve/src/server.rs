@@ -706,6 +706,9 @@ impl ServerState {
         // negative/NaN charges by panicking) and the policy's internal
         // state; a frame must never be able to reach either with
         // non-finite numbers, so refuse them here with a typed error.
+        // Packed columns carry ±inf and NaN bit-exactly (a scalar's
+        // non-finite value arrives as JSON `null`, read as NaN), so
+        // this check, not the codec, is what keeps them out.
         let finite = cost.is_finite()
             && cost >= 0.0
             && latency_secs.is_finite()
@@ -785,6 +788,7 @@ pub fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::decode_frame;
 
     fn server(clients: usize, budget: f64) -> ServerState {
         let config = ServeConfig::new(clients, 11, budget, 3, PolicyKind::FedL);
@@ -885,17 +889,52 @@ mod tests {
         // A negative or NaN cost must come back as a typed error — not
         // reach `BudgetLedger::charge` (which would panic) — and leave
         // the selection pending and the budget untouched.
+        // Packed columns carry ±inf as ±inf (v3's JSON arrays turned it
+        // into null, read back as NaN): an infinite per-client value
+        // must still be refused after the trip through a real frame.
+        let with_columns = |latency: f64, eta: f32, grad: f32, loss: f32| {
+            let mut msg = result(5.0, 1.0, 0.5);
+            if let Message::TrainResult {
+                per_client_iter_latency,
+                eta_hats,
+                grad_dot_delta,
+                local_losses,
+                ..
+            } = &mut msg
+            {
+                per_client_iter_latency[0] = latency;
+                eta_hats[0] = eta;
+                grad_dot_delta[n - 1] = grad;
+                local_losses[n - 1] = loss;
+            }
+            msg
+        };
         for hostile in [
             result(-1.0, 1.0, 0.5),
             result(f64::NAN, 1.0, 0.5),
             result(f64::INFINITY, 1.0, 0.5),
             result(5.0, f64::NAN, 0.5),
             result(5.0, 1.0, f32::NAN),
+            result(5.0, 1.0, f32::INFINITY),
+            with_columns(f64::INFINITY, 0.5, -0.1, 2.3),
+            with_columns(f64::NEG_INFINITY, 0.5, -0.1, 2.3),
+            with_columns(0.1, f32::NEG_INFINITY, -0.1, 2.3),
+            with_columns(0.1, 0.5, f32::NEG_INFINITY, 2.3),
+            with_columns(0.1, 0.5, -0.1, f32::INFINITY),
         ] {
-            let (reply, control) = s.handle_message(hostile);
+            let (reply, control) = s.handle_message(hostile.clone());
             assert!(
                 matches!(reply, Message::Error { ref code, .. } if code == "unexpected-message"),
                 "hostile feedback must be refused, got {reply:?}"
+            );
+            assert_eq!(control, Control::Continue);
+            let (reply, control) = s.handle_frame(&encode_frame(&hostile));
+            assert!(
+                matches!(
+                    decode_frame(&reply),
+                    Ok(Message::Error { ref code, .. }) if code == "unexpected-message"
+                ),
+                "hostile feedback must be refused off the wire too"
             );
             assert_eq!(control, Control::Continue);
         }

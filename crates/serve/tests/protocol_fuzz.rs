@@ -79,6 +79,74 @@ fn mutated_frames_yield_typed_errors_and_count() {
     assert!(matches!(reply, Message::Snapshot { .. }));
 }
 
+/// Re-encodes `msg` with its field `key` replaced by `column` (or
+/// removed when `None`) under a valid checksum: only the column is bad.
+fn frame_with_column(msg: &Message, key: &str, column: Option<fedl_json::Value>) -> Vec<u8> {
+    let fedl_json::Value::Obj(mut pairs) = msg.to_json_value() else {
+        panic!("messages are JSON objects");
+    };
+    let at = pairs.iter().position(|(k, _)| k == key).expect("the message has the column");
+    match column {
+        Some(column) => pairs[at].1 = column,
+        None => {
+            pairs.remove(at);
+        }
+    }
+    fedl_store::encode_envelope("serve-msg", &fedl_json::Value::Obj(pairs)).into_bytes()
+}
+
+#[test]
+fn malformed_packed_columns_are_schema_errors_and_counted() {
+    use fedl_json::Value;
+    let config = ServeConfig::new(40, 3, 1000.0, 3, PolicyKind::FedL);
+    let mut server = ServerState::new(config, Telemetry::in_memory().0);
+    let train = valid_message(4);
+    let cohort = valid_message(3);
+    let cases: Vec<(&str, &Message, &str, Option<Value>)> = vec![
+        ("non-base64", &train, "per_client_iter_latency", Some(Value::from("AAAA!AAAAAA="))),
+        ("non-base64", &cohort, "cohort", Some(Value::from("AQAAAAAAAAA*"))),
+        ("non-base64", &train, "per_client_iter_latency", Some(Value::from("AAAA AAAAAA="))),
+        ("bad padding", &train, "eta_hats", Some(Value::from("AAAAAA=A"))),
+        ("bad padding", &train, "local_losses", Some(Value::from("AAAAAAA"))),
+        ("bad padding", &train, "per_client_iter_latency", Some(Value::from("AAAAAAAAA==="))),
+        ("bad padding", &train, "eta_hats", Some(Value::from("AAAAA=A="))),
+        ("bad padding", &cohort, "cohort", Some(Value::from("AA==AAAAAAAA"))),
+        ("padding bits", &train, "grad_dot_delta", Some(Value::from("AAAAAAB="))),
+        ("width", &train, "per_client_iter_latency", Some(Value::from("AAAAAAAAAAAA"))),
+        ("width", &train, "eta_hats", Some(Value::from("AAAAAAA="))),
+        ("width", &cohort, "cohort", Some(Value::from("AQAAAA=="))),
+        ("v3 array", &train, "eta_hats", Some(Value::Arr(vec![Value::Float(0.5); 2]))),
+        ("v3 array", &cohort, "cohort", Some(Value::Arr(vec![Value::Int(1)]))),
+        ("not a string", &train, "grad_dot_delta", Some(Value::Float(0.5))),
+        ("not a string", &train, "local_losses", Some(Value::Null)),
+        ("missing", &train, "per_client_iter_latency", None),
+        ("missing", &cohort, "cohort", None),
+    ];
+    for (i, (what, msg, key, column)) in cases.into_iter().enumerate() {
+        let frame = frame_with_column(msg, key, column);
+        assert!(
+            matches!(decode_frame(&frame), Err(ProtocolError::Schema { .. })),
+            "case {i} ({what}, {key}) must be a schema error"
+        );
+        let before = server.malformed_frames();
+        let (reply, _control) = server.handle_frame(&frame);
+        match decode_frame(&reply) {
+            Ok(Message::Error { code, .. }) => assert_eq!(code, "schema", "case {i}"),
+            other => panic!("case {i} ({what}, {key}): expected a schema error, got {other:?}"),
+        }
+        assert_eq!(server.malformed_frames(), before + 1, "case {i}: counter must move");
+    }
+    // The server still serves: a join and a selection go through.
+    let (reply, _) = server.handle_message(Message::ClientJoin { client: 0 });
+    assert!(matches!(reply, Message::Snapshot { .. }));
+    let select = fedl_serve::encode_frame(&Message::SelectCohort {
+        epoch: 0,
+        trace: fedl_serve::Trace::Absent,
+    });
+    let (reply, _) = server.handle_frame(&select);
+    assert!(matches!(decode_frame(&reply), Ok(Message::Cohort { epoch: 0, .. })));
+}
+
 #[test]
 fn stream_level_damage_is_typed() {
     // Oversized length prefix: desync, not an allocation attempt.

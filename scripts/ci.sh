@@ -174,8 +174,10 @@ stage_bench_history() {
 stage_perf() {
     mkdir -p results
     run_exp bench --quick --out results/BENCH.json > /dev/null
-    grep -q '"core/hindsight_1k"' results/BENCH.json \
-        || { echo "quick snapshot is missing the core/hindsight_1k kernel" >&2; exit 1; }
+    for kernel in core/hindsight_1k proto/shard_context_part_50k; do
+        grep -q "\"$kernel\"" results/BENCH.json \
+            || { echo "quick snapshot is missing the $kernel kernel" >&2; exit 1; }
+    done
     run_exp bench-history append results/BENCH.json --history results/BENCH_HISTORY.jsonl
     run_exp bench-history gate results/BENCH.json --history results/BENCH_HISTORY.jsonl
     CI_STAGE_NOTE="results/BENCH.json"
